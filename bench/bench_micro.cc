@@ -7,9 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <string>
-#include <vector>
-
 #include "src/pcr/condition.h"
 #include "src/pcr/fiber.h"
 #include "src/pcr/monitor.h"
@@ -127,31 +124,4 @@ BENCHMARK(BM_SimulatedSwitchThroughput);
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN so `--json` can alias google-benchmark's JSON output
-// to the conventional BENCH_micro.json (see also bench_explore --json).
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool json = false;
-  std::vector<char*> filtered;
-  for (char* arg : args) {
-    if (std::string(arg) == "--json") {
-      json = true;
-    } else {
-      filtered.push_back(arg);
-    }
-  }
-  std::string out_flag = "--benchmark_out=BENCH_micro.json";
-  std::string format_flag = "--benchmark_out_format=json";
-  if (json) {
-    filtered.push_back(out_flag.data());
-    filtered.push_back(format_flag.data());
-  }
-  int filtered_argc = static_cast<int>(filtered.size());
-  benchmark::Initialize(&filtered_argc, filtered.data());
-  if (benchmark::ReportUnrecognizedArguments(filtered_argc, filtered.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -4,8 +4,7 @@
 // Each cell runs src/world/service_world.h at one offered aggregate rate under one paradigm
 // (serializer / work-queue / pipeline) and folds per-class latency percentiles. Because the
 // world runs on virtual time, every number here is a deterministic function of the spec — the
-// p50/p99/p999 columns are machine-independent, so CI can regress them tightly
-// (tools/bench_compare.py gates the committed BENCH_load.json).
+// p50/p99/p999 columns are machine-independent, and a rerun must reproduce them exactly.
 //
 // The collapse knee is read per paradigm: the first offered-load point whose interactive p99
 // exceeds 3x the paradigm's lightest-load p99, or whose goodput falls below 90% of admitted
@@ -13,7 +12,6 @@
 // over from service time.
 //
 //   bench_service_load               # human-readable table
-//   bench_service_load --json        # also write BENCH_load.json
 //   bench_service_load --duration=4  # seconds of load per cell (default 2)
 //   bench_service_load --clients=N --shards=K --seed=S
 
@@ -41,12 +39,11 @@ struct Args {
   int clients = 2000;
   int shards = 4;
   uint64_t seed = 11;
-  bool json = false;
 };
 
 void Usage() {
   std::fprintf(stderr,
-               "usage: bench_service_load [--json] [--duration=SECONDS] [--clients=N]\n"
+               "usage: bench_service_load [--duration=SECONDS] [--clients=N]\n"
                "                          [--shards=K] [--seed=S]\n");
 }
 
@@ -57,9 +54,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       size_t len = std::strlen(flag);
       return arg.compare(0, len, flag) == 0 ? arg.c_str() + len : nullptr;
     };
-    if (arg == "--json") {
-      args->json = true;
-    } else if (const char* v = value("--duration=")) {
+    if (const char* v = value("--duration=")) {
       args->duration_sec = std::atoi(v);
     } else if (const char* v = value("--clients=")) {
       args->clients = std::atoi(v);
@@ -127,55 +122,6 @@ double FindKnee(const std::vector<Cell>& cells, const Args& args, ServiceParadig
   return 0;
 }
 
-void WriteJson(const std::vector<Cell>& cells, const Args& args, bool deterministic,
-               const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::perror("bench_service_load: fopen");
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"benchmarks\": [\n");
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& cell = cells[i];
-    const ServiceRunResult& r = cell.result;
-    std::fprintf(
-        f,
-        "    {\"paradigm\": \"%s\", \"offered_per_sec\": %.0f,\n"
-        "     \"interactive\": {\"count\": %lld, \"p50_us\": %lld, \"p99_us\": %lld, "
-        "\"p999_us\": %lld},\n"
-        "     \"bulk\": {\"count\": %lld, \"p50_us\": %lld, \"p99_us\": %lld, "
-        "\"p999_us\": %lld},\n"
-        "     \"goodput_per_sec\": %.1f, \"arrivals\": %lld, \"rejected_full\": %lld,\n"
-        "     \"retries\": %lld, \"drops\": %lld, \"max_depth\": %zu}%s\n",
-        std::string(ServiceParadigmName(cell.paradigm)).c_str(), cell.offered,
-        static_cast<long long>(r.interactive.count), static_cast<long long>(r.interactive.p50),
-        static_cast<long long>(r.interactive.p99), static_cast<long long>(r.interactive.p999),
-        static_cast<long long>(r.bulk.count), static_cast<long long>(r.bulk.p50),
-        static_cast<long long>(r.bulk.p99), static_cast<long long>(r.bulk.p999),
-        Goodput(cell, args), static_cast<long long>(r.totals.arrivals),
-        static_cast<long long>(r.totals.rejected_full),
-        static_cast<long long>(r.totals.retries), static_cast<long long>(r.totals.drops),
-        r.totals.max_depth, i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"knees\": {");
-  const ServiceParadigm paradigms[] = {ServiceParadigm::kSerializer,
-                                       ServiceParadigm::kWorkQueue,
-                                       ServiceParadigm::kPipeline};
-  for (size_t i = 0; i < 3; ++i) {
-    std::fprintf(f, "%s\"%s\": %.0f", i == 0 ? "" : ", ",
-                 std::string(ServiceParadigmName(paradigms[i])).c_str(),
-                 FindKnee(cells, args, paradigms[i]));
-  }
-  std::fprintf(f,
-               "},\n  \"deterministic\": %s,\n"
-               "  \"config\": {\"clients\": %d, \"shards\": %d, \"seed\": %llu, "
-               "\"duration_sec\": %d}\n}\n",
-               deterministic ? "true" : "false", args.clients, args.shards,
-               static_cast<unsigned long long>(args.seed), args.duration_sec);
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -226,8 +172,5 @@ int main(int argc, char** argv) {
   }
   std::printf("deterministic rerun: %s\n", deterministic ? "identical" : "DIVERGED");
 
-  if (args.json) {
-    WriteJson(cells, args, deterministic, "BENCH_load.json");
-  }
   return deterministic ? 0 : 1;
 }

@@ -7,16 +7,13 @@
 // the run exits nonzero if enabling metrics adds more than 10% on top of tracing alone, or if
 // tracing itself adds more than kMaxTracingOverhead on top of running dark.
 //
-//   bench_trace_overhead             # human-readable table
-//   bench_trace_overhead --json      # also write BENCH_trace.json (the CI artifact)
+//   bench_trace_overhead             # human-readable table; exit 1 past either limit
 //
 // Each config is timed kRepeats times and the minimum is kept: the workload is deterministic,
 // so min-of-N isolates the code's cost from scheduler noise on the host.
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <string>
 
 #include "src/pcr/monitor.h"
 #include "src/pcr/runtime.h"
@@ -85,15 +82,10 @@ Measurement Measure(const char* name, bool tracing, bool metrics) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else {
-      std::fprintf(stderr, "usage: bench_trace_overhead [--json]\n");
-      return 2;
-    }
+int main(int argc, char** /*argv*/) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: bench_trace_overhead\n");
+    return 2;
   }
 
   Measurement full = Measure("tracing+metrics", true, true);
@@ -121,31 +113,5 @@ int main(int argc, char** argv) {
   std::printf("tracing overhead on top of nothing: %+.1f%% (limit %.0f%%) -> %s\n",
               tracing_overhead * 100, kMaxTracingOverhead * 100, tracing_ok ? "OK" : "TOO SLOW");
 
-  if (json) {
-    const char* path = "BENCH_trace.json";
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "bench_trace_overhead: cannot write %s\n", path);
-      return 2;
-    }
-    std::fprintf(f, "{\n  \"benchmarks\": [\n");
-    const Measurement* rows[] = {&full, &trace_only, &off};
-    for (int i = 0; i < 3; ++i) {
-      std::fprintf(f,
-                   "    {\"config\": \"%s\", \"seconds\": %.6f, \"events\": %zu, "
-                   "\"events_per_sec\": %.1f}%s\n",
-                   rows[i]->name, rows[i]->seconds, events, rows[i]->events_per_sec,
-                   i < 2 ? "," : "");
-    }
-    std::fprintf(f,
-                 "  ],\n  \"metrics_overhead_fraction\": %.4f,\n"
-                 "  \"tracing_overhead_fraction\": %.4f,\n"
-                 "  \"metrics_threshold\": %.2f,\n"
-                 "  \"tracing_threshold\": %.2f,\n  \"pass\": %s\n}\n",
-                 metrics_overhead, tracing_overhead, kMaxMetricsOverhead, kMaxTracingOverhead,
-                 pass ? "true" : "false");
-    std::fclose(f);
-    std::printf("wrote %s\n", path);
-  }
   return pass ? 0 : 1;
 }

@@ -67,7 +67,6 @@ Scheduler::Scheduler(const Config& config, trace::Tracer* tracer)
   // SelectReady while a pointer to tied_scratch_.data() lives in a suspended frame, so the
   // vector must never reallocate (restore refills it in place, within this capacity).
   tied_scratch_.reserve(static_cast<size_t>(std::max(1, config_.max_threads)));
-#if PCR_METRICS
   if (config_.metrics) {
     // Register once here; the hot paths only ever touch the cached pointers.
     m_dispatches_ = metrics_.counter("sched.dispatches");
@@ -86,27 +85,14 @@ Scheduler::Scheduler(const Config& config, trace::Tracer* tracer)
     m_fork_failures_ = metrics_.counter("fault.fork_failures");
     m_monitors_poisoned_ = metrics_.counter("fault.monitors_poisoned");
   }
-#endif
 }
 
 trace::Counter* Scheduler::MetricCounter(std::string_view name) {
-#if PCR_METRICS
-  if (config_.metrics) {
-    return metrics_.counter(name);
-  }
-#endif
-  (void)name;
-  return nullptr;
+  return config_.metrics ? metrics_.counter(name) : nullptr;
 }
 
 trace::Log2Histogram* Scheduler::MetricHistogram(std::string_view name) {
-#if PCR_METRICS
-  if (config_.metrics) {
-    return metrics_.histogram(name);
-  }
-#endif
-  (void)name;
-  return nullptr;
+  return config_.metrics ? metrics_.histogram(name) : nullptr;
 }
 
 Scheduler::~Scheduler() { Shutdown(); }
@@ -949,7 +935,6 @@ void Scheduler::AssignProcessors() {
       // This branch fires exactly when a thread!=0 kSwitch event would be recorded, so
       // sched.dispatches stays equal to the post-hoc Summary.switches count.
       trace::MetricAdd(m_dispatches_);
-#if PCR_METRICS
       if (m_ready_depth_ != nullptr) {
         size_t depth = 0;
         for (const auto& queue : ready_) {
@@ -957,7 +942,6 @@ void Scheduler::AssignProcessors() {
         }
         m_ready_depth_->Record(static_cast<int64_t>(depth));
       }
-#endif
     }
   }
 }

@@ -165,8 +165,8 @@ class Scheduler {
   //
   // The registry lives for the scheduler's lifetime; hot paths hold cached Counter/Histogram
   // pointers registered once at construction. MetricCounter/MetricHistogram return nullptr when
-  // metrics are disabled (Config::metrics = false or PCR_METRICS=0), so call sites feed the
-  // null-tolerant trace::MetricAdd / trace::MetricRecord and pay one predicted branch.
+  // metrics are disabled (Config::metrics = false), so call sites feed the null-tolerant
+  // trace::MetricAdd / trace::MetricRecord and pay one predicted branch.
 
   trace::MetricsRegistry& metrics() { return metrics_; }
   const trace::MetricsRegistry& metrics() const { return metrics_; }
@@ -323,7 +323,7 @@ class Scheduler {
   size_t peak_stack_bytes_reserved() const { return peak_stack_bytes_reserved_; }
 
   // Fiber-substrate counters, kept independent of the metrics registry so benches can read
-  // them even in PCR_METRICS=OFF builds. fiber_switches counts context switches (two per
+  // them even with Config::metrics = false. fiber_switches counts context switches (two per
   // Resume round trip); stack_acquires/stack_pool_hits count fiber-stack requests and how many
   // the stack pool served without a fresh mmap.
   int64_t fiber_switches() const { return fiber_switches_; }

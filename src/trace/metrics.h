@@ -4,21 +4,11 @@
 // runs (the ROADMAP's heavy-traffic north star) need the complementary channel: cheap counters
 // that survive with tracing off and summarize a run in O(metrics), not O(events). The hot path
 // is one predicted branch plus an integer add; registration (the string lookup) happens once,
-// at object-construction time, never per event.
-//
-// The whole layer compiles out with -DPCR_METRICS=0 (CMake option PCR_METRICS=OFF): the
-// registry type survives so tools still link, but every instrumentation site in the runtime
-// collapses to nothing and the registry stays empty.
+// at object-construction time, never per event. pcr::Config::metrics turns the layer off at
+// run time: the sites then hold nullptr and the registry stays empty.
 
 #ifndef SRC_TRACE_METRICS_H_
 #define SRC_TRACE_METRICS_H_
-
-// Compile-time guard for the instrumentation sites. 1 (default): metric updates are emitted,
-// gated at runtime by pcr::Config::metrics. 0: MetricAdd/MetricRecord are empty inlines and the
-// runtime never registers anything.
-#ifndef PCR_METRICS
-#define PCR_METRICS 1
-#endif
 
 #include <cstdint>
 #include <iosfwd>
@@ -135,28 +125,18 @@ class MetricsRegistry {
   std::map<std::string, Log2Histogram, std::less<>> histograms_;
 };
 
-// Null-tolerant update helpers: instrumentation sites hold nullptr when metrics are disabled
-// (or compiled out), so the fast path is a single predicted branch.
+// Null-tolerant update helpers: instrumentation sites hold nullptr when metrics are disabled,
+// so the fast path is a single predicted branch.
 inline void MetricAdd(Counter* counter, int64_t n = 1) {
-#if PCR_METRICS
   if (counter != nullptr) {
     counter->Add(n);
   }
-#else
-  (void)counter;
-  (void)n;
-#endif
 }
 
 inline void MetricRecord(Log2Histogram* histogram, int64_t value) {
-#if PCR_METRICS
   if (histogram != nullptr) {
     histogram->Record(value);
   }
-#else
-  (void)histogram;
-  (void)value;
-#endif
 }
 
 }  // namespace trace

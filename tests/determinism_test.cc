@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "examples/example_scenarios.h"
@@ -12,6 +13,15 @@
 #include "src/fault/fault.h"
 #include "src/pcr/runtime.h"
 #include "src/trace/tracer.h"
+
+namespace examples {
+
+// Prints a scenario by name. Without this, gtest prints the parameter as the raw bytes of its
+// two pointers, and the listed test ids (which ctest uses as test names) would change with
+// every build and every address-space layout.
+void PrintTo(const ExampleScenario& scenario, std::ostream* os) { *os << scenario.name; }
+
+}  // namespace examples
 
 namespace {
 

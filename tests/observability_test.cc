@@ -466,6 +466,45 @@ TEST(MetricsTest, ConfigMetricsOffLeavesRegistryEmpty) {
   EXPECT_EQ(rt.scheduler().metrics().histogram_count(), 0u);
 }
 
+// The fiber-substrate counters are the second source of the fiber/stack numbers: they must
+// keep counting with the registry off, and on an identical run with it on they must equal the
+// registry's series.
+TEST(MetricsTest, SubstrateCountersCountWithMetricsOffAndMatchRegistry) {
+  auto run = [](pcr::Runtime& rt) {
+    pcr::MonitorLock mu(rt.scheduler(), "mu");
+    for (int wave = 0; wave < 2; ++wave) {  // the second wave reuses the first wave's stacks
+      for (int i = 0; i < 3; ++i) {
+        rt.ForkDetached([&] {
+          pcr::MonitorGuard g(mu);
+          pcr::thisthread::Yield();
+        });
+      }
+      rt.RunUntilQuiescent(kUsecPerSec);
+    }
+  };
+  pcr::Config off_config;
+  off_config.metrics = false;
+  pcr::Runtime off(off_config);
+  run(off);
+  pcr::Runtime on;
+  run(on);
+
+  const pcr::Scheduler& s_off = off.scheduler();
+  EXPECT_GT(s_off.fiber_switches(), 0);
+  EXPECT_GT(s_off.stack_acquires(), 0);
+  EXPECT_GT(s_off.stack_pool_hits(), 0);
+  const trace::MetricsRegistry& m = on.scheduler().metrics();
+  ASSERT_NE(m.FindCounter("fiber.switches"), nullptr);
+  ASSERT_NE(m.FindCounter("stack.acquires"), nullptr);
+  ASSERT_NE(m.FindCounter("stack.pool_hits"), nullptr);
+  EXPECT_EQ(m.FindCounter("fiber.switches")->value(), s_off.fiber_switches());
+  EXPECT_EQ(m.FindCounter("stack.acquires")->value(), s_off.stack_acquires());
+  EXPECT_EQ(m.FindCounter("stack.pool_hits")->value(), s_off.stack_pool_hits());
+  EXPECT_EQ(on.scheduler().fiber_switches(), s_off.fiber_switches());
+  EXPECT_EQ(on.scheduler().stack_acquires(), s_off.stack_acquires());
+  EXPECT_EQ(on.scheduler().stack_pool_hits(), s_off.stack_pool_hits());
+}
+
 TEST(ExplorerTest, ProfileIsPopulatedAndReplayCaptureExportsTrace) {
   explore::TestBody body = [](pcr::Runtime& rt, explore::TestContext& ctx) {
     pcr::MonitorLock mu(rt.scheduler(), "mu");
