@@ -119,6 +119,7 @@ struct Checkpoint::State {
   bool rng_seed_logged;
   Usec now;
   Usec next_tick_due;
+  Usec run_deadline;
   ThreadId current_tid;
   ObjectId next_object_id;
   bool shutting_down;
@@ -220,6 +221,7 @@ Checkpoint::Checkpoint(Scheduler& scheduler, trace::Tracer& tracer, Fiber* exec_
   s.rng_seed_logged = scheduler_.rng_seed_logged_;
   s.now = scheduler_.now_;
   s.next_tick_due = scheduler_.next_tick_due_;
+  s.run_deadline = scheduler_.run_deadline_;
   s.current_tid = scheduler_.current_tid_;
   s.next_object_id = scheduler_.next_object_id_;
   s.shutting_down = scheduler_.shutting_down_;
@@ -367,6 +369,7 @@ void Checkpoint::Restore() {
   scheduler_.rng_seed_logged_ = s.rng_seed_logged;
   scheduler_.now_ = s.now;
   scheduler_.next_tick_due_ = s.next_tick_due;
+  scheduler_.run_deadline_ = s.run_deadline;
   scheduler_.current_tid_ = s.current_tid;
   scheduler_.next_object_id_ = s.next_object_id;
   scheduler_.shutting_down_ = s.shutting_down;

@@ -334,6 +334,10 @@ void Scheduler::Compute(Usec duration) {
     throw InjectedFault("pcr: injected thread death in " + me->name);
   }
   me->remaining += duration;
+  if (Usec target = now_ + me->remaining; RunsUninterruptedUntil(*me, target)) {
+    AdvanceTo(target);
+    return;
+  }
   me->fiber->Suspend();
   if (shutting_down_ && std::uncaught_exceptions() == 0) {
     // Resumed by Shutdown: unwind this thread. Suppressed while another exception is already
@@ -1144,19 +1148,42 @@ void Scheduler::Settle() {
   }
 }
 
+bool Scheduler::RunsUninterruptedUntil(const Tcb& me, Usec target) {
+  // Suspending would hand control to Settle and RunLoop, whose next two iterations must then do
+  // nothing but advance the clock to `target` and resume `me`. That holds when no tick (and so
+  // no timer), run deadline or interrupt falls at or before `target`...
+  if (!in_run_loop_ || me.processor < 0 || target >= next_tick_due_ ||
+      target >= run_deadline_ || (!interrupts_.empty() && target >= interrupts_.top().time)) {
+    return false;
+  }
+  // ...no other processor's compute ends first or at the same instant (Settle resumes in
+  // processor order), no idle processor would take a ready thread...
+  int weakest = EffectivePriority(me);
+  for (ThreadId tid : running_) {
+    if (tid == kNoThread) {
+      if (ready_mask_ != 0) {
+        return false;
+      }
+    } else if (tid != me.id) {
+      const Tcb& other = GetTcb(tid);
+      if (now_ + other.remaining <= target) {
+        return false;
+      }
+      weakest = std::min(weakest, EffectivePriority(other));
+    }
+  }
+  // ...and PreemptIfNeeded would find no ready thread outranking the weakest running one (fair
+  // share preempts in a subset of those cases). The peek consults no perturber.
+  return ready_mask_ == 0 || EffectivePriority(GetTcb(SelectReady(/*pop=*/false))) <= weakest;
+}
+
 // ---------------------------------------------------------------------------
 // Run loop
 // ---------------------------------------------------------------------------
 
-Usec Scheduler::NextTickAfter(Usec t) const { return (t / config_.quantum + 1) * config_.quantum; }
-
 Usec Scheduler::GridDeadline(Usec relative_timeout) const {
   Usec ticks = (std::max<Usec>(0, relative_timeout) + config_.quantum - 1) / config_.quantum;
   return (now_ / config_.quantum + ticks) * config_.quantum;
-}
-
-Usec Scheduler::TickAtOrAfter(Usec t) const {
-  return (t + config_.quantum - 1) / config_.quantum * config_.quantum;
 }
 
 std::vector<Scheduler::TimerEntry> Scheduler::TakeBucket() {
@@ -1330,6 +1357,7 @@ void Scheduler::CheckLivelock() {
 
 RunStatus Scheduler::RunLoop(Usec deadline, bool idle_to_deadline) {
   in_run_loop_ = true;
+  run_deadline_ = deadline;
   if (next_tick_due_ == 0) {
     next_tick_due_ = config_.quantum;
   }

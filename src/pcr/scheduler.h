@@ -12,9 +12,15 @@
 //     yields boost the donee until the next tick (Section 6.2 / the SystemDaemon).
 //
 // Execution model: simulated threads are fibers. Real C++ code takes zero virtual time; virtual
-// time passes only inside Compute()/cost charges, which suspend to the scheduler loop. The loop
-// advances the clock to the next interesting instant (compute completion, tick, or external
-// interrupt), so preemption points are exact without interrupting host code.
+// time passes only inside Compute()/cost charges. The scheduler loop advances the clock to the
+// next interesting instant (compute completion, tick, run deadline or external interrupt), so
+// preemption points are exact without interrupting host code. A charge suspends to that loop
+// only when something can happen inside it. When it ends strictly before the next tick, the
+// run deadline, the next interrupt and every other processor's compute, and no ready thread
+// would take an idle processor or outrank a running thread, the loop would only advance the
+// clock and resume the same fiber, so Compute advances the clock inline instead. Nothing
+// observable differs: no other thread runs in between, no perturber or fault point is
+// consulted on either path, and no trace event is emitted.
 
 #ifndef SRC_PCR_SCHEDULER_H_
 #define SRC_PCR_SCHEDULER_H_
@@ -425,15 +431,15 @@ class Scheduler {
   void RecycleBucket(std::vector<TimerEntry> bucket);
 
   RunStatus RunLoop(Usec deadline, bool idle_to_deadline);
-  Usec NextTickAfter(Usec t) const;     // strictly greater than t, on the quantum grid
-  Usec TickAtOrAfter(Usec t) const;
+  // True when `me`, computing until `target`, would be resumed at `target` with nothing else
+  // happening first, so Compute can advance the clock inline instead of suspending.
+  bool RunsUninterruptedUntil(const Tcb& me, Usec target);
   void HandleTick();
   void FireTimersUpTo(Usec t);
   Usec NextTimerDeadline();             // -1 when no (valid) timer is pending
   Usec NextInterruptTime() const;       // -1 when none
   void DeliverInterruptsUpTo(Usec t);
   void AdvanceTo(Usec t);
-  void NoteProgress();
   void CheckLivelock();
 
   Config config_;
@@ -462,6 +468,7 @@ class Scheduler {
 
   Usec now_ = 0;
   Usec next_tick_due_ = 0;  // first unprocessed quantum tick; 0 = initialize on first run
+  Usec run_deadline_ = 0;   // deadline of the current (or last) RunLoop
   ThreadId current_tid_ = kNoThread;
   ObjectId next_object_id_ = 0;
   bool shutting_down_ = false;

@@ -15,6 +15,7 @@
 #include "src/explore/explorer.h"
 #include "src/explore/scenarios.h"
 #include "src/pcr/checkpoint.h"
+#include "src/pcr/runtime.h"
 
 namespace {
 
@@ -117,6 +118,44 @@ TEST(CheckpointEquivalenceTest, FailuresFromCheckpointedRunsReplay) {
                                                    scenario->body);
   EXPECT_TRUE(again.failed);
   EXPECT_EQ(again.trace_hash, result.failures.front().trace_hash);
+}
+
+// The run loop's deadline is checkpointed state: a snapshot taken inside a 20 ms RunFor must
+// come back with that deadline even when the restore happens while the body's later RunFor
+// (deadline 50 ms) is current. Both workers keep slices that straddle 20 ms with no tick in
+// between, so a stale deadline would let a compute run past the first RunFor's end.
+void DeadlineSplitBody(pcr::Runtime& rt, explore::TestContext& ctx) {
+  for (int w = 0; w < 2; ++w) {
+    rt.Fork([] {
+      for (int i = 0; i < 12; ++i) {
+        pcr::thisthread::Compute(3 * pcr::kUsecPerMsec + 70);
+        pcr::thisthread::Yield();  // an equal-priority tie: a perturber decision point
+      }
+    });
+  }
+  rt.RunFor(20 * pcr::kUsecPerMsec);
+  ctx.Check(rt.now() == 20 * pcr::kUsecPerMsec, "first RunFor overran its deadline");
+  rt.RunFor(30 * pcr::kUsecPerMsec);
+  ctx.Check(rt.now() == 50 * pcr::kUsecPerMsec, "second RunFor overran its deadline");
+  rt.Shutdown();
+}
+
+TEST(CheckpointEquivalenceTest, RestoreUnderLaterRunForDeadlineMatchesFromZero) {
+  ExploreOptions options;
+  options.scenario_name = "deadline_split";
+  options.budget = 64;
+  options.workers = 1;
+  Explorer with_explorer(options);
+  ExploreResult with = with_explorer.Explore(DeadlineSplitBody);
+  options.checkpoint = false;
+  Explorer without_explorer(options);
+  ExploreResult without = without_explorer.Explore(DeadlineSplitBody);
+  ExpectSameResult(with, without);
+  EXPECT_TRUE(with.failures.empty());
+  EXPECT_GT(with.distinct_schedules, 1);
+  if (pcr::Checkpoint::Supported()) {
+    EXPECT_GT(with.profile.checkpoint_resumes, 0);
+  }
 }
 
 TEST(CheckpointProfileTest, CountersReportCheckpointWork) {

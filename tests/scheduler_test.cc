@@ -448,5 +448,204 @@ TEST(SchedulerTest, RandomReadyThreadSeedsDeterministically) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// Compute boundaries. A Compute advances the clock inline only when the loop would have done
+// nothing else before resuming the same thread; these pin the cases where it must not. Every
+// expected time follows from the paper's rules and the default cost model: a dispatch charges
+// the incoming thread kSwitch = 30 us, ticks fall every quantum (Q = 50 ms).
+constexpr Usec kSwitch = 30;
+constexpr Usec kQ = 50 * kUsecPerMsec;
+
+// A compute that ends exactly on a tick still gets the tick: the equal-priority ready thread
+// rotates in at Q, and the computing thread resumes only after it.
+TEST(ComputeBoundaryTest, ComputeEndingOnTickRotatesEqualPriority) {
+  Runtime rt(TestConfig());
+  Usec a_resumed = -1;
+  Usec b_started = -1;
+  rt.ForkDetached([&] {
+    thisthread::Compute(kQ - kSwitch);  // dispatched at 0, runs from kSwitch: ends at Q
+    a_resumed = rt.now();
+  });
+  rt.ForkDetached([&] { b_started = rt.now(); });
+  rt.RunUntilQuiescent(kUsecPerSec);
+  EXPECT_EQ(b_started, kQ + kSwitch);       // rotated in at the tick
+  EXPECT_EQ(a_resumed, kQ + 2 * kSwitch);   // re-dispatched when b exits
+}
+
+// An interrupt the running thread posts inside its own compute window is delivered at its
+// time, and the higher-priority handler preempts there instead of when the compute ends.
+TEST(ComputeBoundaryTest, SelfPostedInterruptPreemptsInsideCompute) {
+  Runtime rt(TestConfig());
+  InterruptSource device(rt.scheduler(), "device");
+  Usec handled = -1;
+  Usec cruncher_done = -1;
+  rt.ForkDetached(
+      [&] {
+        device.Await();  // blocks at kSwitch
+        handled = rt.now();
+      },
+      ForkOptions{.name = "handler", .priority = 6});
+  rt.ForkDetached(
+      [&] {
+        // Dispatched at kSwitch, runs from 2 * kSwitch = 60.
+        device.PostAt(rt.now() + 5 * kUsecPerMsec, 1);  // at 5060
+        thisthread::Compute(20 * kUsecPerMsec);          // 60 -> 5060, then 15000 left
+        cruncher_done = rt.now();
+      },
+      ForkOptions{.name = "cruncher", .priority = 3});
+  rt.RunUntilQuiescent(kUsecPerSec);
+  const Usec interrupt_at = 2 * kSwitch + 5 * kUsecPerMsec;
+  EXPECT_EQ(handled, interrupt_at + kSwitch + rt.config().costs.interrupt_dispatch);
+  EXPECT_EQ(cruncher_done, handled + kSwitch + 15 * kUsecPerMsec);
+}
+
+// Readying a higher-priority thread with a primitive that charges nothing leaves the readied
+// thread waiting for the next preemption point: the Compute that follows. It must preempt at
+// the Compute's first instant, not after the compute.
+Config ZeroPrimitiveCosts() {
+  Config config = TestConfig();
+  config.costs.fork = 0;
+  config.costs.monitor_enter = 0;
+  config.costs.monitor_exit = 0;
+  config.costs.cv_wait = 0;
+  config.costs.cv_notify = 0;
+  return config;
+}
+
+TEST(ComputeBoundaryTest, ForkOfHigherPriorityPreemptsAtNextCompute) {
+  Runtime rt(ZeroPrimitiveCosts());
+  Usec high_ran = -1;
+  Usec low_done = -1;
+  rt.ForkDetached(
+      [&] {
+        thisthread::Compute(1000);  // runs from kSwitch: 30 -> 1030
+        rt.ForkDetached([&] { high_ran = rt.now(); }, ForkOptions{.priority = 5});
+        thisthread::Compute(5000);
+        low_done = rt.now();
+      },
+      ForkOptions{.priority = 3});
+  rt.RunUntilQuiescent(kUsecPerSec);
+  EXPECT_EQ(high_ran, kSwitch + 1000 + kSwitch);
+  EXPECT_EQ(low_done, high_ran + kSwitch + 5000);
+}
+
+TEST(ComputeBoundaryTest, NotifyOfHigherPriorityPreemptsAtNextCompute) {
+  Runtime rt(ZeroPrimitiveCosts());
+  MonitorLock lock(rt.scheduler(), "lock");
+  Condition cv(lock, "cv", -1);
+  bool signalled = false;
+  Usec waiter_woke = -1;
+  Usec notifier_done = -1;
+  rt.ForkDetached(
+      [&] {
+        MonitorGuard guard(lock);
+        while (!signalled) {
+          cv.Wait();  // blocks at kSwitch
+        }
+        waiter_woke = rt.now();
+      },
+      ForkOptions{.priority = 5});
+  rt.ForkDetached(
+      [&] {
+        thisthread::Compute(1000);  // runs from 2 * kSwitch: 60 -> 1060
+        {
+          MonitorGuard guard(lock);
+          signalled = true;
+          cv.Notify();
+        }
+        thisthread::Compute(5000);
+        notifier_done = rt.now();
+      },
+      ForkOptions{.priority = 3});
+  rt.RunUntilQuiescent(kUsecPerSec);
+  EXPECT_EQ(waiter_woke, 2 * kSwitch + 1000 + kSwitch);
+  EXPECT_EQ(notifier_done, waiter_woke + kSwitch + 5000);
+  rt.Shutdown();  // before the monitor and CV above go out of scope
+}
+
+// Two processors whose computes end at the same instant resume in processor order, even when
+// the thread on the higher-numbered processor is the one that just called Compute.
+TEST(ComputeBoundaryTest, SimultaneousCompletionsResumeInProcessorOrder) {
+  Config config = TestConfig();
+  config.processors = 2;
+  Runtime rt(config);
+  std::vector<std::pair<char, Usec>> log;
+  rt.ForkDetached([&] {  // processor 0, runs from kSwitch
+    thisthread::Compute(2000);
+    log.emplace_back('a', rt.now());
+  });
+  rt.ForkDetached([&] {  // processor 1, runs from kSwitch
+    thisthread::Compute(1000);
+    thisthread::Compute(1000);  // ends with a's compute
+    log.emplace_back('b', rt.now());
+  });
+  rt.RunUntilQuiescent(kUsecPerSec);
+  const Usec end = kSwitch + 2000;
+  EXPECT_EQ(log, (std::vector<std::pair<char, Usec>>{{'a', end}, {'b', end}}));
+}
+
+// On two processors, a wakeup that outranks only the other processor's thread preempts that
+// processor at the waker's next Compute, even though the waker itself keeps running.
+TEST(ComputeBoundaryTest, WakeupOutrankingOtherProcessorPreemptsItAtNextCompute) {
+  Config config = ZeroPrimitiveCosts();
+  config.processors = 2;
+  Runtime rt(config);
+  Usec high_done = -1;
+  Usec woken_ran = -1;
+  Usec low_done = -1;
+  rt.ForkDetached(  // processor 0, runs from kSwitch
+      [&] {
+        thisthread::Compute(1000);
+        rt.ForkDetached([&] { woken_ran = rt.now(); }, ForkOptions{.priority = 4});
+        thisthread::Compute(5000);
+        high_done = rt.now();
+      },
+      ForkOptions{.priority = 5});
+  rt.ForkDetached(  // processor 1, runs from kSwitch; preempted at 1030 with 19000 left
+      [&] {
+        thisthread::Compute(20 * kUsecPerMsec);
+        low_done = rt.now();
+      },
+      ForkOptions{.priority = 2});
+  rt.RunUntilQuiescent(kUsecPerSec);
+  EXPECT_EQ(high_done, kSwitch + 1000 + 5000);
+  EXPECT_EQ(woken_ran, kSwitch + 1000 + kSwitch);
+  EXPECT_EQ(low_done, woken_ran + kSwitch + 19000);
+}
+
+// A compute split across RunFor calls stops at each call's own deadline and completes at the
+// instant its total length puts it.
+TEST(ComputeBoundaryTest, ComputeSplitAcrossRunForDeadlines) {
+  Runtime rt(TestConfig());
+  std::vector<Usec> done;
+  rt.ForkDetached([&] {
+    for (int i = 0; i < 3; ++i) {
+      thisthread::Compute(i == 0 ? 30 * kUsecPerMsec : 10 * kUsecPerMsec);
+      done.push_back(rt.now());
+    }
+  });
+  EXPECT_EQ(rt.RunFor(10 * kUsecPerMsec), RunStatus::kDeadline);
+  EXPECT_EQ(rt.now(), 10 * kUsecPerMsec);
+  EXPECT_TRUE(done.empty());
+  EXPECT_EQ(rt.RunFor(35 * kUsecPerMsec), RunStatus::kDeadline);
+  EXPECT_EQ(rt.now(), 45 * kUsecPerMsec);  // the third compute (to 50030) is cut here
+  EXPECT_EQ(done, (std::vector<Usec>{kSwitch + 30 * kUsecPerMsec, kSwitch + 40 * kUsecPerMsec}));
+  EXPECT_EQ(rt.RunFor(100 * kUsecPerMsec), RunStatus::kQuiescent);
+  EXPECT_EQ(done.back(), kSwitch + 50 * kUsecPerMsec);
+}
+
+// Computes that cross no tick, deadline, interrupt or preemption need no trip through the run
+// loop: one dispatch round trip (2 switches) carries 1000 of them.
+TEST(ComputeBoundaryTest, ThousandComputesInOneQuantumCostOneDispatch) {
+  Runtime rt(TestConfig());
+  rt.ForkDetached([] {
+    for (int i = 0; i < 1000; ++i) {
+      thisthread::Compute(1);
+    }
+  });
+  rt.RunUntilQuiescent(kUsecPerSec);
+  EXPECT_EQ(rt.now(), kSwitch + 1000);
+  EXPECT_LE(rt.scheduler().fiber_switches(), 4);
+}
+
 }  // namespace
 }  // namespace pcr
