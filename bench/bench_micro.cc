@@ -7,10 +7,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
+#include "src/explore/hash.h"
 #include "src/pcr/condition.h"
 #include "src/pcr/fiber.h"
 #include "src/pcr/monitor.h"
 #include "src/pcr/runtime.h"
+#include "src/world/scenarios.h"
 
 namespace {
 
@@ -121,6 +125,34 @@ void BM_SimulatedSwitchThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SimulatedSwitchThroughput);
+
+// Simulator-side cost of fingerprinting a run: TraceHash over a recorded Cedar trace (5 s of
+// the everyday mix at seed 1), reported as host ns per event. Replay checks, explorer
+// fingerprints, campaign coverage and the service world's determinism witness all pay it.
+std::unique_ptr<trace::Tracer> RecordCedarTrace() {
+  auto tracer = std::make_unique<trace::Tracer>();
+  world::ScenarioOptions options;
+  options.duration = 5 * pcr::kUsecPerSec;
+  options.inspect = [&tracer](pcr::Runtime& rt) {
+    for (const trace::Event& e : rt.tracer().view()) {
+      tracer->Record(e);
+    }
+  };
+  world::RunScenario(world::Scenario::kCedarEveryday, options);
+  return tracer;
+}
+
+void BM_TraceHash(benchmark::State& state) {
+  static const std::unique_ptr<trace::Tracer> tracer = RecordCedarTrace();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(explore::TraceHash(*tracer));
+  }
+  // Seconds per event, printed with an SI prefix (e.g. "15.2n" is 15.2 ns).
+  state.counters["time_per_event"] = benchmark::Counter(
+      static_cast<double>(tracer->size()),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TraceHash)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/explore/hash.h"
+
 namespace explore {
 
 namespace {
@@ -400,14 +402,11 @@ std::vector<uint64_t> CollectTraceCoverage(const trace::Tracer& tracer, uint64_t
   std::unordered_map<ThreadId, int> locks_held;
 
   auto mix = [salt](uint64_t tag, uint64_t a, uint64_t b, uint64_t c) {
-    uint64_t h = 0xcbf29ce484222325ull ^ salt;
+    TraceHasher hasher(TraceHasher::kOffsetBasis ^ salt);
     for (uint64_t v : {tag, a, b, c}) {
-      for (int byte = 0; byte < 8; ++byte) {
-        h ^= (v >> (byte * 8)) & 0xff;
-        h *= 0x100000001b3ull;
-      }
+      hasher.MixWord(v);
     }
-    return h;
+    return hasher.value();
   };
 
   for (const Event& e : tracer.view()) {

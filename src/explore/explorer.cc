@@ -137,17 +137,21 @@ void Explorer::FillOutcome(trace::Tracer& tracer, const TestContext& ctx,
     out->findings = AnalyzeTrace(tracer, options_.detector);
   }
   detector_ns_.fetch_add(NsSince(detector_start), std::memory_order_relaxed);
+  if (options_.collect_coverage) {
+    out->coverage = TracePrefixHashes(tracer, options_.coverage_stride);
+  }
   if (resume_hasher != nullptr) {
     TraceHasher hasher = *resume_hasher;
     for (const trace::Event& e : tracer.view(resume_events)) {
       hasher.Mix(e);
     }
     out->trace_hash = hasher.value();
+  } else if (options_.collect_coverage) {
+    out->trace_hash = out->coverage.back();  // the prefix pass ends on the full-trace hash
   } else {
     out->trace_hash = TraceHash(tracer);
   }
   if (options_.collect_coverage) {
-    out->coverage = TracePrefixHashes(tracer, options_.coverage_stride);
     for (uint64_t& h : out->coverage) {
       h ^= options_.coverage_salt;  // scenario-scope the state fingerprints too
     }

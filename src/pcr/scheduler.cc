@@ -1173,8 +1173,37 @@ bool Scheduler::RunsUninterruptedUntil(const Tcb& me, Usec target) {
     }
   }
   // ...and PreemptIfNeeded would find no ready thread outranking the weakest running one (fair
-  // share preempts in a subset of those cases). The peek consults no perturber.
-  return ready_mask_ == 0 || EffectivePriority(GetTcb(SelectReady(/*pop=*/false))) <= weakest;
+  // share preempts in a subset of those cases).
+  return !ReadyThreadOutranks(weakest);
+}
+
+bool Scheduler::ReadyThreadOutranks(int weakest) {
+  if (boosted_count_ == 0 && inherited_count_ == 0) {
+    // Effective priority is the base level, or 0 for a penalized thread (which then never
+    // outranks: weakest >= 0). Only the levels above `weakest` can hold a witness.
+    uint32_t above = ready_mask_ & ~((2u << weakest) - 1);
+    if (penalized_count_ == 0) {
+      return above != 0;
+    }
+    while (above != 0) {
+      int pri = TopSetBit(above);
+      above &= ~(1u << pri);
+      for (ThreadId tid : ready_[pri]) {
+        if (!GetTcb(tid).penalized) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+  for (int pri = kMaxPriority; pri >= kMinPriority; --pri) {
+    for (ThreadId tid : ready_[pri]) {
+      if (EffectivePriority(GetTcb(tid)) > weakest) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 // ---------------------------------------------------------------------------

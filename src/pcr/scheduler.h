@@ -432,8 +432,16 @@ class Scheduler {
 
   RunStatus RunLoop(Usec deadline, bool idle_to_deadline);
   // True when `me`, computing until `target`, would be resumed at `target` with nothing else
-  // happening first, so Compute can advance the clock inline instead of suspending.
+  // happening first, so Compute can advance the clock inline instead of suspending. Among its
+  // conditions, no ready thread may outrank the weakest running one (ReadyThreadOutranks).
   bool RunsUninterruptedUntil(const Tcb& me, Usec target);
+  // True iff some ready thread's EffectivePriority exceeds `weakest`. Under strict priority this
+  // is exactly "the thread SelectReady would choose outranks `weakest`" (the max effective
+  // priority over ready threads is that of SelectReady's choice); under fair share it is true
+  // in a superset of those cases, and a true answer only sends Compute through the run loop.
+  // With no boosted or inheriting thread it reads the ready mask above `weakest`, walking
+  // those levels to the first unpenalized thread only while some thread is penalized.
+  bool ReadyThreadOutranks(int weakest);
   void HandleTick();
   void FireTimersUpTo(Usec t);
   Usec NextTimerDeadline();             // -1 when no (valid) timer is pending

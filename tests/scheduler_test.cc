@@ -647,5 +647,229 @@ TEST(ComputeBoundaryTest, ThousandComputesInOneQuantumCostOneDispatch) {
   EXPECT_LE(rt.scheduler().fiber_switches(), 4);
 }
 
+// The outrank test inside the inline-compute check. A ready thread blocks inlining only when
+// its *effective* priority beats the weakest running thread's: YieldButNotToMe penalties,
+// directed-yield boosts and priority inheritance all move effective priority away from the
+// queue level. Every resume of a fiber is 2 fiber switches, so a compute that goes through the
+// run loop instead of inline shows up as +2.
+constexpr int kLoop = 100;  // computes of 100 us each; inline, they cost no switch at all
+
+// A penalized higher-priority thread sits ready while the lower-priority thread it ceded to
+// computes: effective priority 0 does not outrank, so all 100 computes run inline.
+TEST(OutrankCheckTest, PenalizedReadyThreadDoesNotInterruptLowerCompute) {
+  Runtime rt(TestConfig());
+  Usec low_started = -1;
+  Usec low_done = -1;
+  Usec high_resumed = -1;
+  rt.ForkDetached(
+      [&] {
+        thisthread::YieldButNotToMe();  // yield cost 5 inline: 30 -> 35, then cedes
+        high_resumed = rt.now();
+      },
+      ForkOptions{.priority = 5});
+  rt.ForkDetached(
+      [&] {
+        low_started = rt.now();
+        for (int i = 0; i < kLoop; ++i) {
+          thisthread::Compute(100);
+        }
+        low_done = rt.now();
+      },
+      ForkOptions{.priority = 3});
+  rt.RunUntilQuiescent(kUsecPerSec);
+  EXPECT_EQ(low_started, kSwitch + 5 + kSwitch);
+  EXPECT_EQ(low_done, low_started + kLoop * 100);
+  EXPECT_EQ(high_resumed, low_done + kSwitch);
+  // Resumes: high starts, low starts (and runs to its end), high resumes.
+  EXPECT_EQ(rt.scheduler().fiber_switches(), 3 * 2);
+}
+
+// A penalized *running* thread has effective priority 0, so a lower-priority child it forks
+// outranks it: the fork's charge is a preemption point and the child runs first. The penalized
+// thread, ready at level 5 while the child computes, does not interrupt the child in turn.
+TEST(OutrankCheckTest, ChildOutranksPenalizedParentAtForkCharge) {
+  Runtime rt(TestConfig());
+  Usec child_started = -1;
+  Usec child_done = -1;
+  Usec fork_returned = -1;
+  rt.ForkDetached(
+      [&] {
+        // Alone, so it is re-chosen at once (no dispatch charge: it was the last to run): 35.
+        thisthread::YieldButNotToMe();
+        rt.ForkDetached(
+            [&] {
+              child_started = rt.now();
+              for (int i = 0; i < kLoop / 10; ++i) {
+                thisthread::Compute(100);
+              }
+              child_done = rt.now();
+            },
+            ForkOptions{.priority = 3});
+        fork_returned = rt.now();
+      },
+      ForkOptions{.priority = 5});
+  rt.RunUntilQuiescent(kUsecPerSec);
+  const Usec fork_cost = rt.config().costs.fork;
+  EXPECT_EQ(child_started, kSwitch + 5 + kSwitch);  // preempted at the fork charge's start
+  EXPECT_EQ(child_done, child_started + (kLoop / 10) * 100);
+  EXPECT_EQ(fork_returned, child_done + kSwitch + fork_cost);
+  // Resumes: parent starts, parent re-chosen after the yield, child, parent after the fork.
+  EXPECT_EQ(rt.scheduler().fiber_switches(), 4 * 2);
+}
+
+// With priority inheritance on, a low thread holding a monitor a mid thread wants inherits the
+// mid priority while it sits ready; a high thread computing meanwhile is not outranked.
+TEST(OutrankCheckTest, InheritingReadyThreadBelowRunningOneDoesNotInterrupt) {
+  Config config = ZeroPrimitiveCosts();
+  config.priority_inheritance = true;
+  Runtime rt(config);
+  MonitorLock lock(rt.scheduler(), "lock");
+  Usec high_started = -1;
+  Usec high_done = -1;
+  Usec low_done = -1;
+  Usec mid_locked = -1;
+  rt.ForkDetached(
+      [&] {
+        thisthread::Sleep(2 * kQ);  // dispatched first: blocks at kSwitch until 2Q
+        high_started = rt.now();
+        for (int i = 0; i < kLoop; ++i) {
+          thisthread::Compute(100);
+        }
+        high_done = rt.now();
+      },
+      ForkOptions{.name = "high", .priority = 7});
+  rt.ForkDetached(
+      [&] {
+        thisthread::Sleep(kQ);  // blocks at 2 * kSwitch until Q
+        MonitorGuard guard(lock);  // held by low: low inherits 5, mid blocks
+        mid_locked = rt.now();
+      },
+      ForkOptions{.name = "mid", .priority = 5});
+  rt.ForkDetached(
+      [&] {
+        MonitorGuard guard(lock);
+        // Runs from 3 * kSwitch; rotated out at Q (mid wakes) and at 2Q (high wakes).
+        thisthread::Compute(3 * kQ);
+        low_done = rt.now();
+      },
+      ForkOptions{.name = "low", .priority = 2});
+  rt.RunUntilQuiescent(kUsecPerSec);
+  // Low computes from 3k to Q; from Q+2k to 2Q (mid's dispatch and block, then low's own
+  // switch charge); and the rest after high's loop and one more switch charge.
+  EXPECT_EQ(high_started, 2 * kQ + kSwitch);
+  EXPECT_EQ(high_done, high_started + kLoop * 100);
+  const Usec low_left = 3 * kQ - (kQ - 3 * kSwitch) - (kQ - 2 * kSwitch);
+  EXPECT_EQ(low_done, high_done + kSwitch + low_left);
+  EXPECT_EQ(mid_locked, low_done + kSwitch);
+  // Resumes: high, mid, low start; mid wakes and blocks; high wakes and runs its loop;
+  // low finishes its compute; mid takes the lock.
+  EXPECT_EQ(rt.scheduler().fiber_switches(), 7 * 2);
+  rt.Shutdown();  // before the monitor above goes out of scope
+}
+
+// The other direction: a thread running at an inherited priority forks a child that outranks
+// even the inherited level, so its next compute is a preemption point.
+TEST(OutrankCheckTest, ForkedChildOutranksInheritingRunningThread) {
+  Config config = ZeroPrimitiveCosts();
+  config.priority_inheritance = true;
+  Runtime rt(config);
+  MonitorLock lock(rt.scheduler(), "lock");
+  Usec child_ran = -1;
+  Usec low_done = -1;
+  Usec mid_locked = -1;
+  rt.ForkDetached(
+      [&] {
+        thisthread::Sleep(kQ);  // blocks at kSwitch until Q
+        MonitorGuard guard(lock);  // held by low: low inherits 5, mid blocks
+        mid_locked = rt.now();
+      },
+      ForkOptions{.name = "mid", .priority = 5});
+  rt.ForkDetached(
+      [&] {
+        MonitorGuard guard(lock);
+        thisthread::Compute(kQ);  // from 2k; rotated out at Q with 2k left
+        rt.ForkDetached([&] { child_ran = rt.now(); }, ForkOptions{.priority = 6});
+        thisthread::Compute(5000);  // the child (6) outranks low's inherited 5: preempted
+        low_done = rt.now();
+      },
+      ForkOptions{.name = "low", .priority = 2});
+  rt.RunUntilQuiescent(kUsecPerSec);
+  // Mid runs at Q+k and blocks; low resumes after a switch charge and 2k of compute.
+  const Usec forked_at = kQ + kSwitch + kSwitch + 2 * kSwitch;
+  EXPECT_EQ(child_ran, forked_at + kSwitch);
+  EXPECT_EQ(low_done, child_ran + kSwitch + 5000);
+  EXPECT_EQ(mid_locked, low_done + kSwitch);
+  // Resumes: mid, low start; mid wakes and blocks; low finishes its first compute; the child;
+  // low finishes; mid takes the lock.
+  EXPECT_EQ(rt.scheduler().fiber_switches(), 7 * 2);
+  rt.Shutdown();  // before the monitor above goes out of scope
+}
+
+// A directed-yield donee runs boosted above every level, so the yielder, ready at a higher
+// base level, does not interrupt its computes.
+TEST(OutrankCheckTest, DirectedYieldDoneeComputesInlineAboveReadyYielder) {
+  Runtime rt(TestConfig());
+  Usec donee_started = -1;
+  Usec donee_done = -1;
+  Usec yielder_resumed = -1;
+  ThreadId donee = rt.ForkDetached(
+      [&] {
+        donee_started = rt.now();
+        for (int i = 0; i < kLoop; ++i) {
+          thisthread::Compute(100);
+        }
+        donee_done = rt.now();
+      },
+      ForkOptions{.priority = 2});
+  rt.ForkDetached(
+      [&] {
+        rt.scheduler().DirectedYield(donee);  // yield cost 5 inline: 30 -> 35
+        yielder_resumed = rt.now();
+      },
+      ForkOptions{.priority = 4});
+  rt.RunUntilQuiescent(kUsecPerSec);
+  EXPECT_EQ(donee_started, kSwitch + 5 + kSwitch);
+  EXPECT_EQ(donee_done, donee_started + kLoop * 100);
+  EXPECT_EQ(yielder_resumed, donee_done + kSwitch);
+  EXPECT_EQ(rt.scheduler().fiber_switches(), 3 * 2);
+}
+
+// Fair share: the thread with the least CPU per unit of priority runs, and wakeups do not
+// preempt. A ready thread of higher priority still counts as outranking, so each compute goes
+// through the run loop (which then resumes the same thread at the same instant as inline).
+TEST(OutrankCheckTest, FairShareHigherPriorityReadyThreadSendsComputesThroughRunLoop) {
+  Config config = TestConfig();
+  config.scheduling = SchedulingPolicy::kFairShare;
+  Runtime rt(config);
+  Usec low_started = -1;
+  Usec low_done = -1;
+  Usec high_resumed = -1;
+  constexpr int kComputes = 5;
+  rt.ForkDetached(
+      [&] {
+        low_started = rt.now();
+        for (int i = 0; i < kComputes; ++i) {
+          thisthread::Compute(1000);
+        }
+        low_done = rt.now();
+      },
+      ForkOptions{.priority = 3});
+  rt.ForkDetached(
+      [&] {
+        // Wins the tie at zero CPU (scanned from the top level); its 40 ms of CPU then puts it
+        // behind the low thread, which runs after the yield while this one sits ready.
+        thisthread::Compute(40 * kUsecPerMsec);
+        thisthread::Yield();
+        high_resumed = rt.now();
+      },
+      ForkOptions{.priority = 5});
+  rt.RunUntilQuiescent(kUsecPerSec);
+  EXPECT_EQ(low_started, kSwitch + 40 * kUsecPerMsec + 5 + kSwitch);
+  EXPECT_EQ(low_done, low_started + kComputes * 1000);
+  EXPECT_EQ(high_resumed, low_done + kSwitch);
+  // Resumes: high, low start, low after each of its computes, high after the yield.
+  EXPECT_EQ(rt.scheduler().fiber_switches(), (1 + 1 + kComputes + 1) * 2);
+}
+
 }  // namespace
 }  // namespace pcr
